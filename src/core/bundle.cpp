@@ -1,11 +1,16 @@
 #include "core/bundle.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
+#include <system_error>
 
 #include "core/serialize.hpp"
 #include "ml/zoo.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/serde.hpp"
 #include "util/str.hpp"
 
@@ -21,25 +26,38 @@ constexpr std::size_t kMaxSectionBytes = 1ULL << 30;
   throw std::runtime_error("load_bundle: " + message);
 }
 
-std::string read_line(std::istream& in, const char* what) {
-  std::string line;
-  if (!std::getline(in, line)) {
+std::string_view read_line(util::LineReader& in, const char* what) {
+  std::string_view line;
+  if (!in.next(line)) {
     fail(std::string("unexpected end of input at ") + what);
   }
   return line;
 }
 
-/// One parsed-but-not-yet-decoded section.
-struct RawSection {
-  std::string name;
-  std::string body;
+/// Non-owning std::streambuf over one section of the bundle buffer: the
+/// section parsers read the bytes in place instead of through a copy.
+class SectionBuf : public std::streambuf {
+ public:
+  explicit SectionBuf(std::string_view bytes) {
+    // Only the get area is set and nothing writes through it (putback of a
+    // different character fails), so casting away const is safe.
+    char* begin = const_cast<char*>(bytes.data());
+    setg(begin, begin, begin + bytes.size());
+  }
 };
 
-std::vector<RawSection> read_sections(std::istream& in) {
+/// One checksum-verified, not-yet-decoded section: a view into the buffer.
+struct RawSection {
+  std::string name;
+  std::string_view body;
+};
+
+std::vector<RawSection> read_sections(std::string_view data) {
+  util::LineReader in(data);
   if (read_line(in, "magic") != kBundleMagic) {
     fail("bad magic (not a bundle, or unsupported version)");
   }
-  std::istringstream counts(read_line(in, "section count"));
+  std::istringstream counts(std::string(read_line(in, "section count")));
   std::string keyword;
   std::size_t n_sections = 0;
   if (!(counts >> keyword >> n_sections) || keyword != "sections") {
@@ -50,7 +68,7 @@ std::vector<RawSection> read_sections(std::istream& in) {
   std::vector<RawSection> sections;
   sections.reserve(n_sections);
   for (std::size_t s = 0; s < n_sections; ++s) {
-    std::istringstream header(read_line(in, "section header"));
+    std::istringstream header(std::string(read_line(in, "section header")));
     std::string name_token;
     std::size_t bytes = 0;
     std::string checksum;
@@ -71,18 +89,20 @@ std::vector<RawSection> read_sections(std::istream& in) {
     if (bytes > kMaxSectionBytes) {
       fail("section '" + section.name + "' byte count out of range");
     }
-    section.body.resize(bytes);
-    in.read(section.body.data(), static_cast<std::streamsize>(bytes));
-    if (static_cast<std::size_t>(in.gcount()) != bytes) {
+    if (!in.take(bytes, section.body)) {
       fail("section '" + section.name + "' truncated");
     }
     // Integrity check before any parser sees the body.
-    const std::string expected = util::serde::hex16(util::serde::fnv1a64(section.body));
+    std::string expected;
+    {
+      obs::Span span("bundle.load.checksum", section.name);
+      expected = util::serde::hex16(util::serde::fnv1a64(section.body));
+    }
     if (checksum != expected) {
       fail("section '" + section.name + "' checksum mismatch (header " + checksum +
            ", body " + expected + ")");
     }
-    if (in.get() != '\n') {
+    if (!in.consume('\n')) {
       fail("section '" + section.name + "' missing trailing newline");
     }
     for (const RawSection& seen : sections) {
@@ -94,6 +114,73 @@ std::vector<RawSection> read_sections(std::istream& in) {
   }
   if (util::trim(read_line(in, "end marker")) != "end") fail("missing end marker");
   return sections;
+}
+
+/// The one load path: read the rest of `in` into one buffer (one sized read
+/// when `size_hint` is the byte count plus one), then verify and decode the
+/// sections in place.
+ModelBundle load_all(std::istream& in, std::size_t size_hint) {
+  std::string data;
+  {
+    obs::Span span("bundle.load.read");
+    data = util::serde::read_all(in, size_hint);
+  }
+  obs::counter("bundle.load_bytes").add(data.size());
+  ModelBundle bundle;
+  std::optional<hv::ann::Index> ann_section;
+  for (const RawSection& section : read_sections(data)) {
+    obs::Span span("bundle.load.decode", section.name);
+    SectionBuf buf(section.body);
+    std::istream body(&buf);
+    try {
+      if (section.name == "extractor") {
+        bundle.extractor = load_extractor(body);
+      } else if (section.name == "hamming") {
+        bundle.hamming = load_hamming(section.body);
+      } else if (section.name == "ann") {
+        // Attached after the loop: section order in the file is not a
+        // contract, and the index must verify against the hamming rows.
+        ann_section = hv::ann::Index::load(body);
+      } else if (section.name == "scaler.minmax") {
+        bundle.minmax_scaler.emplace();
+        bundle.minmax_scaler->load(body);
+      } else if (section.name == "scaler.standard") {
+        bundle.standard_scaler.emplace();
+        bundle.standard_scaler->load(body);
+      } else if (section.name == "online") {
+        bundle.online.emplace();
+        bundle.online->load(body);
+      } else if (section.name == "nn") {
+        bundle.nn = std::make_unique<nn::Sequential>();
+        bundle.nn->load_state(body);
+      } else if (section.name == "manifest") {
+        bundle.manifest = load_manifest(body);
+      } else if (section.name.rfind("model:", 0) == 0) {
+        // make_model throws on unknown names, covering bad model sections.
+        auto model = ml::make_model(section.name.substr(6));
+        model->load_state(body);
+        bundle.models.push_back(std::move(model));
+      } else {
+        throw std::runtime_error("unknown section name");
+      }
+    } catch (const std::runtime_error& e) {
+      fail("section '" + section.name + "': " + e.what());
+    } catch (const std::invalid_argument& e) {
+      fail("section '" + section.name + "': " + e.what());
+    }
+  }
+  if (ann_section) {
+    if (!bundle.hamming) {
+      fail("section 'ann': requires a hamming section");
+    }
+    try {
+      obs::Span span("bundle.load.decode", "ann.verify");
+      bundle.hamming->attach_ann(std::move(*ann_section));
+    } catch (const std::exception& e) {
+      fail(std::string("section 'ann': ") + e.what());
+    }
+  }
+  return bundle;
 }
 
 void write_section(std::ostream& out, std::string_view name,
@@ -126,7 +213,7 @@ void save_bundle(std::ostream& out, const ModelBundle& bundle) {
   const auto add = [&sections](std::string name, const auto& saver) {
     std::ostringstream body;
     saver(body);
-    sections.emplace_back(std::move(name), body.str());
+    sections.emplace_back(std::move(name), std::move(body).str());
   };
 
   if (bundle.extractor) {
@@ -173,60 +260,7 @@ void save_bundle(std::ostream& out, const ModelBundle& bundle) {
   out << "end\n";
 }
 
-ModelBundle load_bundle(std::istream& in) {
-  ModelBundle bundle;
-  std::optional<hv::ann::Index> ann_section;
-  for (RawSection& section : read_sections(in)) {
-    std::istringstream body(section.body);
-    try {
-      if (section.name == "extractor") {
-        bundle.extractor = load_extractor(body);
-      } else if (section.name == "hamming") {
-        bundle.hamming = load_hamming(body);
-      } else if (section.name == "ann") {
-        // Attached after the loop: section order in the file is not a
-        // contract, and the index must verify against the hamming rows.
-        ann_section = hv::ann::Index::load(body);
-      } else if (section.name == "scaler.minmax") {
-        bundle.minmax_scaler.emplace();
-        bundle.minmax_scaler->load(body);
-      } else if (section.name == "scaler.standard") {
-        bundle.standard_scaler.emplace();
-        bundle.standard_scaler->load(body);
-      } else if (section.name == "online") {
-        bundle.online.emplace();
-        bundle.online->load(body);
-      } else if (section.name == "nn") {
-        bundle.nn = std::make_unique<nn::Sequential>();
-        bundle.nn->load_state(body);
-      } else if (section.name == "manifest") {
-        bundle.manifest = load_manifest(body);
-      } else if (section.name.rfind("model:", 0) == 0) {
-        // make_model throws on unknown names, covering bad model sections.
-        auto model = ml::make_model(section.name.substr(6));
-        model->load_state(body);
-        bundle.models.push_back(std::move(model));
-      } else {
-        throw std::runtime_error("unknown section name");
-      }
-    } catch (const std::runtime_error& e) {
-      fail("section '" + section.name + "': " + e.what());
-    } catch (const std::invalid_argument& e) {
-      fail("section '" + section.name + "': " + e.what());
-    }
-  }
-  if (ann_section) {
-    if (!bundle.hamming) {
-      fail("section 'ann': requires a hamming section");
-    }
-    try {
-      bundle.hamming->attach_ann(std::move(*ann_section));
-    } catch (const std::exception& e) {
-      fail(std::string("section 'ann': ") + e.what());
-    }
-  }
-  return bundle;
-}
+ModelBundle load_bundle(std::istream& in) { return load_all(in, 0); }
 
 void save_bundle_file(const std::string& path, const ModelBundle& bundle) {
   std::ofstream out(path);
@@ -236,9 +270,11 @@ void save_bundle_file(const std::string& path, const ModelBundle& bundle) {
 }
 
 ModelBundle load_bundle_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_bundle: cannot open " + path);
-  return load_bundle(in);
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  return load_all(in, error ? 0 : static_cast<std::size_t>(size) + 1);
 }
 
 }  // namespace hdc::core

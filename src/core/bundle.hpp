@@ -27,6 +27,14 @@
 //   manifest         core::RunManifest of the producing training run
 //
 // Every section is optional; duplicates and unknown names are errors.
+//
+// Loading is one pass over one buffer: the whole artifact is read once (a
+// single sized read for files), every section's checksum is computed over a
+// view into that buffer, and each body is decoded in place — the hamming
+// rows straight into the classifier's packed database. Peak memory is the
+// file bytes plus the decoded members. Loads record obs spans
+// bundle.load.read / bundle.load.checksum / bundle.load.decode (the latter
+// two tagged with the section name) and the counter bundle.load_bytes.
 #pragma once
 
 #include <iosfwd>
@@ -71,8 +79,9 @@ struct ModelBundle {
 /// nothing is engaged (an empty bundle is almost certainly a caller bug).
 void save_bundle(std::ostream& out, const ModelBundle& bundle);
 
-/// Parse + checksum-verify a bundle. Throws std::runtime_error with a
-/// section-qualified message on any malformed input.
+/// Parse + checksum-verify a bundle from the rest of `in` (the stream is
+/// read to its end). Throws std::runtime_error with a section-qualified
+/// message on any malformed input.
 [[nodiscard]] ModelBundle load_bundle(std::istream& in);
 
 void save_bundle_file(const std::string& path, const ModelBundle& bundle);

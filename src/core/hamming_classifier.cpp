@@ -8,26 +8,43 @@
 
 namespace hdc::core {
 
-void HammingClassifier::fit(std::vector<hv::BitVector> vectors,
-                            std::vector<int> labels) {
-  if (vectors.empty() || vectors.size() != labels.size()) {
-    throw std::invalid_argument("HammingClassifier: bad training data");
-  }
+namespace {
+
+void check_labels(const std::vector<int>& labels) {
   for (const int y : labels) {
     if (y != 0 && y != 1) {
       throw std::invalid_argument("HammingClassifier: labels must be 0/1");
     }
   }
-  vectors_ = std::move(vectors);
-  packed_ = hv::PackedHVs::pack(vectors_);
+}
+
+}  // namespace
+
+void HammingClassifier::fit(std::vector<hv::BitVector> vectors,
+                            std::vector<int> labels) {
+  if (vectors.empty() || vectors.size() != labels.size()) {
+    throw std::invalid_argument("HammingClassifier: bad training data");
+  }
+  check_labels(labels);  // before pack, so bad labels outrank ragged rows
+  fit_packed(hv::PackedHVs::pack(vectors), std::move(labels));
+}
+
+void HammingClassifier::fit_packed(hv::PackedHVs packed, std::vector<int> labels) {
+  if (packed.empty() || packed.rows() != labels.size()) {
+    throw std::invalid_argument("HammingClassifier: bad training data");
+  }
+  check_labels(labels);
+  packed_ = std::move(packed);
   labels_ = std::move(labels);
   ann_.reset();  // any attached index was built over the previous database
 
   if (mode_ == HammingMode::kPrototype) {
-    hv::BitAccumulator acc[2] = {hv::BitAccumulator(vectors_.front().size()),
-                                 hv::BitAccumulator(vectors_.front().size())};
-    for (std::size_t i = 0; i < vectors_.size(); ++i) {
-      acc[static_cast<std::size_t>(labels_[i])].add(vectors_[i]);
+    hv::BitAccumulator acc[2] = {hv::BitAccumulator(packed_.bits()),
+                                 hv::BitAccumulator(packed_.bits())};
+    hv::BitVector row(packed_.bits());
+    for (std::size_t i = 0; i < packed_.rows(); ++i) {
+      std::copy_n(packed_.row(i), packed_.words_per_row(), row.word_data());
+      acc[static_cast<std::size_t>(labels_[i])].add(row);
     }
     for (int c : {0, 1}) {
       if (acc[c].total() == 0) {
@@ -56,7 +73,7 @@ double HammingClassifier::predict_score(const hv::BitVector& query,
   // neighbour is positive). Distance ties resolve toward the earliest
   // training row; both kernels guarantee (distance, index) ordering, and
   // the ANN path preserves it over its reranked candidate set.
-  const std::size_t k = std::min(k_, vectors_.size());
+  const std::size_t k = std::min(k_, packed_.rows());
   const hv::PackedHVs packed_query = hv::PackedHVs::pack({&query, 1});
   if (ann_) {
     hv::ann::SearchOptions options;

@@ -40,6 +40,10 @@ class HammingClassifier {
   /// Store (and, in prototype mode, bundle) the training hypervectors.
   void fit(std::vector<hv::BitVector> vectors, std::vector<int> labels);
 
+  /// Adopt an already-packed training database (the bundle load path
+  /// decodes rows straight into `packed`). Same validation as above.
+  void fit_packed(hv::PackedHVs packed, std::vector<int> labels);
+
   [[nodiscard]] bool fitted() const noexcept { return !labels_.empty(); }
   [[nodiscard]] HammingMode mode() const noexcept { return mode_; }
 
@@ -74,7 +78,8 @@ class HammingClassifier {
   void set_ann_nprobe(std::size_t nprobe) noexcept { ann_nprobe_ = nprobe; }
   [[nodiscard]] std::size_t ann_nprobe() const noexcept { return ann_nprobe_; }
 
-  /// Packed training vectors (the ANN index's database).
+  /// Packed training vectors — the one stored copy of the database (search,
+  /// the ANN index and serialization all read it).
   [[nodiscard]] const hv::PackedHVs& packed_vectors() const noexcept {
     return packed_;
   }
@@ -82,10 +87,6 @@ class HammingClassifier {
   /// Class prototypes (prototype mode only).
   [[nodiscard]] const hv::BitVector& prototype(int label) const;
 
-  /// Stored training data (for serialization).
-  [[nodiscard]] const std::vector<hv::BitVector>& training_vectors() const noexcept {
-    return vectors_;
-  }
   [[nodiscard]] const std::vector<int>& training_labels() const noexcept {
     return labels_;
   }
@@ -93,7 +94,6 @@ class HammingClassifier {
  private:
   HammingMode mode_;
   std::size_t k_ = 1;
-  std::vector<hv::BitVector> vectors_;
   hv::PackedHVs packed_;  // training vectors packed for the search kernel
   std::vector<int> labels_;
   hv::BitVector prototypes_[2];

@@ -1,5 +1,8 @@
 #include "core/serialize.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -28,35 +31,144 @@ long long expect_int(std::istream& in, const char* what) {
   return *value;
 }
 
-double expect_double(std::istream& in, const char* what) {
-  const auto value = util::parse_double(expect_line(in, what));
-  if (!value) throw std::runtime_error(std::string("load: bad number for ") + what);
-  return *value;
-}
-
 /// Hard cap on persisted hypervector width: well above any configuration we
 /// ship (paper uses 1k-10k dimensions) and small enough that a corrupted
 /// size field cannot trigger a giant allocation.
 constexpr std::size_t kMaxBitvectorBits = 1ULL << 26;
 
-/// Exactly 16 lowercase hex digits -> word; anything else (odd-length hex,
-/// uppercase, stray characters) throws.
-std::uint64_t parse_hex16_word(const std::string& tok) {
-  if (tok.size() != 16) {
-    throw std::runtime_error("load: bad bitvector word '" + tok +
-                             "': expected exactly 16 hex digits");
+/// Byte classes of a bitvector line: a lowercase hex digit's value (0-15),
+/// whitespace as `istream >> std::string` splits it in the C locale, or
+/// anything else. Uppercase hex is "anything else": one canonical spelling.
+constexpr std::uint8_t kSpace = 0x40;
+constexpr std::uint8_t kOther = 0x80;
+constexpr std::array<std::uint8_t, 256> kByteClass = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(kOther);
+  for (int c = '0'; c <= '9'; ++c) table[c] = static_cast<std::uint8_t>(c - '0');
+  for (int c = 'a'; c <= 'f'; ++c) table[c] = static_cast<std::uint8_t>(c - 'a' + 10);
+  for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    table[static_cast<unsigned char>(c)] = kSpace;
   }
-  std::uint64_t word = 0;
-  for (const char c : tok) {
-    int digit = -1;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    if (digit < 0) {
-      throw std::runtime_error("load: bad bitvector word '" + tok + "'");
+  return table;
+}();
+
+[[nodiscard]] std::uint8_t byte_class(char c) noexcept {
+  return kByteClass[static_cast<unsigned char>(c)];
+}
+
+/// One "<bits> <hex16> <hex16> ..." line — the single decoder behind
+/// read_bitvector and load_hamming. Construction validates the size token;
+/// decode() validates every word and the end of the line while writing the
+/// words straight into caller-owned storage. Accepts exactly what the
+/// token-stream reader accepted: C-locale whitespace between tokens, words
+/// of exactly 16 lowercase hex digits, the exact word count, zero padding
+/// bits and nothing after the last word.
+class BitvectorLine {
+ public:
+  explicit BitvectorLine(std::string_view line) : line_(line) {
+    skip_space();
+    const std::size_t begin = pos_;
+    while (pos_ < line_.size() && byte_class(line_[pos_]) != kSpace) ++pos_;
+    const std::string_view token = line_.substr(begin, pos_ - begin);
+    if (token.empty()) throw std::runtime_error("load: bad bitvector size");
+    const auto parsed_bits = util::parse_int(token);
+    if (!parsed_bits || *parsed_bits < 0) {
+      throw std::runtime_error("load: bad bitvector size '" + std::string(token) + "'");
     }
-    word = (word << 4) | static_cast<std::uint64_t>(digit);
+    bits_ = static_cast<std::size_t>(*parsed_bits);
+    if (bits_ > kMaxBitvectorBits) {
+      throw std::runtime_error("load: bitvector size out of range");
+    }
   }
-  return word;
+
+  [[nodiscard]] std::size_t bits() const noexcept { return bits_; }
+  [[nodiscard]] std::size_t words() const noexcept { return (bits_ + 63) / 64; }
+
+  /// Decode words() words into out[0, words()).
+  void decode(std::uint64_t* out) {
+    const std::size_t n_words = words();
+    const char* const end = line_.data() + line_.size();
+    for (std::size_t w = 0; w < n_words; ++w) {
+      skip_space();
+      if (pos_ == line_.size()) throw std::runtime_error("load: truncated bitvector");
+      const char* digits = line_.data() + pos_;
+      std::uint64_t word = 0;
+      std::uint8_t seen = kOther;
+      if (end - digits >= 16) {
+        seen = 0;
+        for (int i = 0; i < 16; ++i) {
+          const std::uint8_t digit = byte_class(digits[i]);
+          seen |= digit;
+          word = (word << 4) | (digit & 0xf);
+        }
+      }
+      if ((seen & 0xf0) != 0 || (end - digits > 16 && byte_class(digits[16]) != kSpace)) {
+        bad_word();
+      }
+      pos_ += 16;
+      if (w + 1 == n_words && bits_ % 64 != 0 && (word & (~0ULL << (bits_ % 64))) != 0) {
+        throw std::runtime_error("load: nonzero padding bits in bitvector");
+      }
+      out[w] = word;
+    }
+    skip_space();
+    if (pos_ != line_.size()) {
+      throw std::runtime_error("load: trailing data after bitvector");
+    }
+  }
+
+ private:
+  void skip_space() noexcept {
+    while (pos_ < line_.size() && byte_class(line_[pos_]) == kSpace) ++pos_;
+  }
+
+  /// The word token at pos_ is not 16 hex digits: name it as the reader
+  /// always has (length first, then the stray character).
+  [[noreturn]] void bad_word() const {
+    std::size_t end = pos_;
+    while (end < line_.size() && byte_class(line_[end]) != kSpace) ++end;
+    const std::string token(line_.substr(pos_, end - pos_));
+    if (token.size() != 16) {
+      throw std::runtime_error("load: bad bitvector word '" + token +
+                               "': expected exactly 16 hex digits");
+    }
+    throw std::runtime_error("load: bad bitvector word '" + token + "'");
+  }
+
+  std::string_view line_;
+  std::size_t pos_ = 0;
+  std::size_t bits_ = 0;
+};
+
+/// Next line of a buffer, with expect_line's end-of-input error.
+std::string_view expect_line(util::LineReader& lines, const char* what) {
+  std::string_view line;
+  if (!lines.next(line)) {
+    throw std::runtime_error(std::string("load: unexpected end of input at ") + what);
+  }
+  return line;
+}
+
+long long expect_int(util::LineReader& lines, const char* what) {
+  const auto value = util::parse_int(expect_line(lines, what));
+  if (!value) throw std::runtime_error(std::string("load: bad integer for ") + what);
+  return *value;
+}
+
+/// Append "<bits> <hex16>...\n" for one row of words.
+void append_bitvector_line(std::string& out, std::size_t bits,
+                           const std::uint64_t* words) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof(digits), bits).ptr);
+  const std::size_t n_words = (bits + 63) / 64;
+  const std::size_t head = out.size();
+  out.resize(head + n_words * 17 + 1);
+  char* cursor = out.data() + head;
+  for (std::size_t w = 0; w < n_words; ++w) {
+    *cursor++ = ' ';
+    cursor = util::serde::write_hex16(cursor, words[w]);
+  }
+  *cursor = '\n';
 }
 
 const char* kind_name(data::ColumnKind kind) {
@@ -77,45 +189,18 @@ data::ColumnKind parse_kind(std::string_view name) {
 }  // namespace
 
 void write_bitvector(std::ostream& out, const hv::BitVector& vector) {
-  out << vector.size();
   // Fixed-width words: every token is exactly 16 lowercase hex digits, so
   // the reader can reject odd-length / truncated hex instead of guessing.
-  for (const std::uint64_t word : vector.words()) {
-    out << ' ' << util::serde::hex16(word);
-  }
-  out << '\n';
+  std::string line;
+  append_bitvector_line(line, vector.size(), vector.words().data());
+  out.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 hv::BitVector read_bitvector(std::istream& in) {
-  const std::string line = expect_line(in, "bitvector");
-  std::istringstream tokens(line);
-  std::string tok;
-  if (!(tokens >> tok)) throw std::runtime_error("load: bad bitvector size");
-  const auto parsed_bits = util::parse_int(tok);
-  if (!parsed_bits || *parsed_bits < 0) {
-    throw std::runtime_error("load: bad bitvector size '" + tok + "'");
-  }
-  const auto bits = static_cast<std::size_t>(*parsed_bits);
-  if (bits > kMaxBitvectorBits) {
-    throw std::runtime_error("load: bitvector size out of range");
-  }
-  hv::BitVector out(bits);
-  const std::size_t n_words = (bits + 63) / 64;
-  for (std::size_t w = 0; w < n_words; ++w) {
-    if (!(tokens >> tok)) throw std::runtime_error("load: truncated bitvector");
-    const std::uint64_t word = parse_hex16_word(tok);
-    if (w + 1 == n_words && bits % 64 != 0 &&
-        (word & (~0ULL << (bits % 64))) != 0) {
-      throw std::runtime_error("load: nonzero padding bits in bitvector");
-    }
-    for (std::size_t b = 0; b < 64; ++b) {
-      const std::size_t bit = w * 64 + b;
-      if (bit < bits && ((word >> b) & 1ULL)) out.set(bit, true);
-    }
-  }
-  if (tokens >> tok) {
-    throw std::runtime_error("load: trailing data after bitvector");
-  }
+  const std::string text = expect_line(in, "bitvector");
+  BitvectorLine line(text);
+  hv::BitVector out(line.bits());
+  line.decode(out.word_data());
   return out;
 }
 
@@ -182,39 +267,89 @@ void save_hamming(std::ostream& out, const HammingClassifier& model) {
   }
   out << kHammingMagic << '\n';
   out << (model.mode() == HammingMode::kPrototype ? "prototype" : "nearest") << '\n';
-  const auto& vectors = model.training_vectors();
+  const hv::PackedHVs& packed = model.packed_vectors();
   const auto& labels = model.training_labels();
-  out << vectors.size() << '\n';
-  for (std::size_t i = 0; i < vectors.size(); ++i) {
-    out << labels[i] << '\n';
-    write_bitvector(out, vectors[i]);
+  out << packed.rows() << '\n';
+  // One reusable buffer, one write per row (label line + vector line).
+  std::string row;
+  for (std::size_t i = 0; i < packed.rows(); ++i) {
+    row.clear();
+    char digits[16];
+    row.append(digits, std::to_chars(digits, digits + sizeof(digits), labels[i]).ptr);
+    row.push_back('\n');
+    append_bitvector_line(row, packed.bits(), packed.row(i));
+    out.write(row.data(), static_cast<std::streamsize>(row.size()));
   }
 }
 
-HammingClassifier load_hamming(std::istream& in) {
-  if (expect_line(in, "magic") != kHammingMagic) {
+HammingClassifier load_hamming(std::string_view body) {
+  util::LineReader lines(body);
+  if (util::trim(expect_line(lines, "magic")) != kHammingMagic) {
     throw std::runtime_error("load_hamming: bad magic");
   }
-  const std::string mode_name = expect_line(in, "mode");
+  const std::string_view mode_name = util::trim(expect_line(lines, "mode"));
   HammingMode mode = HammingMode::kNearestNeighbor;
   if (mode_name == "prototype") {
     mode = HammingMode::kPrototype;
   } else if (mode_name != "nearest") {
-    throw std::runtime_error("load_hamming: unknown mode '" + mode_name + "'");
+    throw std::runtime_error("load_hamming: unknown mode '" + std::string(mode_name) +
+                             "'");
   }
-  const long long count = expect_int(in, "vector count");
+  const long long count = expect_int(lines, "vector count");
   if (count <= 0) throw std::runtime_error("load_hamming: empty model");
-  std::vector<hv::BitVector> vectors;
+
+  // Rows decode straight into the packed database. Row 0 fixes the width; a
+  // row of another width is still fully validated (into `scratch`) so the
+  // errors come in the order a row-by-row reader would raise them.
   std::vector<int> labels;
-  vectors.reserve(static_cast<std::size_t>(count));
-  labels.reserve(static_cast<std::size_t>(count));
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> scratch;
+  std::size_t bits = 0;
+  std::size_t ragged_bits = 0;
+  bool ragged = false;
   for (long long i = 0; i < count; ++i) {
-    labels.push_back(static_cast<int>(expect_int(in, "label")));
-    vectors.push_back(read_bitvector(in));
+    labels.push_back(static_cast<int>(expect_int(lines, "label")));
+    BitvectorLine line(expect_line(lines, "bitvector"));
+    const std::size_t n_words = line.words();
+    if (i == 0) {
+      // Size the buffers by the rows the body can still hold (each needs at
+      // least 17 bytes a word plus two line breaks and two digits), never by
+      // the claimed count alone.
+      bits = line.bits();
+      const std::size_t rows = std::min<std::size_t>(
+          static_cast<std::size_t>(count), 2 + lines.remaining() / (17 * n_words + 4));
+      words.reserve(rows * n_words);
+      labels.reserve(rows);
+    }
+    if (line.bits() == bits) {
+      words.resize(words.size() + n_words);
+      line.decode(words.data() + words.size() - n_words);
+    } else {
+      scratch.resize(n_words);
+      line.decode(scratch.data());
+      if (!ragged) ragged_bits = line.bits();
+      ragged = true;
+    }
+  }
+  if (ragged) {
+    // What fit(vectors) reports for mixed widths, in its order: labels first.
+    for (const int y : labels) {
+      if (y != 0 && y != 1) {
+        throw std::invalid_argument("HammingClassifier: labels must be 0/1");
+      }
+    }
+    throw std::invalid_argument("PackedHVs: row dimensionality mismatch (" +
+                                std::to_string(ragged_bits) + " vs " +
+                                std::to_string(bits) + ")");
   }
   HammingClassifier model(mode);
-  model.fit(std::move(vectors), std::move(labels));
+  const std::size_t rows = labels.size();
+  model.fit_packed(hv::PackedHVs(bits, rows, std::move(words)), std::move(labels));
   return model;
+}
+
+HammingClassifier load_hamming(std::istream& in) {
+  return load_hamming(std::string_view(util::serde::read_all(in)));
 }
 
 namespace {

@@ -62,6 +62,20 @@ struct SketchCandidate {
   std::uint64_t row;
 };
 
+/// Per-thread query buffers, kept across calls. The candidate list of one
+/// query outgrows glibc's 128 KiB mmap threshold on large databases; a
+/// fresh one per query then costs an mmap, ~30 page faults and a munmap, or
+/// not, depending on what the process allocated earlier. Reusing the
+/// buffers makes a query's cost independent of that history.
+struct QueryScratch {
+  std::vector<SketchCandidate> candidates;
+  std::vector<std::size_t> cell_order;
+  std::vector<std::size_t> cell_distance;
+  std::vector<std::uint64_t> query_sketch;
+  std::vector<std::uint32_t> sketch_distance;
+  std::vector<Neighbor> reranked;
+};
+
 bool sketch_less(const SketchCandidate& a, const SketchCandidate& b) noexcept {
   return a.sketch_distance != b.sketch_distance
              ? a.sketch_distance < b.sketch_distance
@@ -484,12 +498,12 @@ std::vector<std::vector<Neighbor>> Index::top_k(const PackedHVs& queries,
         const auto hamming = kernels.hamming;
         const auto sketch_scan = kernels.sketch_scan;
         SearchStats local;
-        std::vector<SketchCandidate> candidates;
-        std::vector<std::size_t> cell_order(n_cells);
-        std::vector<std::size_t> cell_distance(n_cells);
-        std::vector<std::uint64_t> query_sketch(sketch_words_);
-        std::vector<std::uint32_t> sketch_distance;
-        std::vector<Neighbor> reranked;
+        thread_local QueryScratch scratch;
+        auto& [candidates, cell_order, cell_distance, query_sketch, sketch_distance,
+               reranked] = scratch;
+        cell_order.resize(n_cells);
+        cell_distance.resize(n_cells);
+        query_sketch.resize(sketch_words_);
         for (std::size_t q = q_lo; q < q_hi; ++q) {
           const std::uint64_t* qrow = queries.row(q);
           // 1. Rank all cells by exact centroid distance (ties -> lowest

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -14,6 +15,15 @@ namespace hdc::hv {
 PackedHVs::PackedHVs(std::size_t bits, std::size_t rows)
     : bits_(bits), words_per_row_((bits + 63) / 64), rows_(rows),
       words_(words_per_row_ * rows, 0ULL) {}
+
+PackedHVs::PackedHVs(std::size_t bits, std::size_t rows,
+                     std::vector<std::uint64_t> words)
+    : bits_(bits), words_per_row_((bits + 63) / 64), rows_(rows),
+      words_(std::move(words)) {
+  if (words_.size() != words_per_row_ * rows_) {
+    throw std::invalid_argument("PackedHVs: word count does not match rows x width");
+  }
+}
 
 PackedHVs PackedHVs::pack(std::span<const BitVector> vectors) {
   if (vectors.empty()) return {};

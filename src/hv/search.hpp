@@ -36,6 +36,10 @@ class PackedHVs {
   /// All-zero matrix of `rows` hypervectors of `bits` dimensions.
   PackedHVs(std::size_t bits, std::size_t rows);
 
+  /// Adopt `words` (rows back-to-back, padding bits zero) as a `rows`-row
+  /// matrix; throws std::invalid_argument unless the size matches exactly.
+  PackedHVs(std::size_t bits, std::size_t rows, std::vector<std::uint64_t> words);
+
   /// Pack a vector array (all inputs must share one dimensionality).
   [[nodiscard]] static PackedHVs pack(std::span<const BitVector> vectors);
 

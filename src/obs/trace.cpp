@@ -43,6 +43,7 @@ struct TraceEvent {
   std::uint64_t span;     // complete: span id; flow: flow id
   std::uint64_t parent;   // complete only: enclosing span id (0 = root)
   EventKind kind;
+  char tag[kSpanTagCapacity];  // complete only: NUL-terminated, "" = untagged
 };
 
 // Per-thread buffer; the mutex is uncontended on the hot path (only the
@@ -125,11 +126,24 @@ Span::Span(const char* name) noexcept {
   t_current_span = id_;
 }
 
+Span::Span(const char* name, std::string_view tag) noexcept : Span(name) {
+  if (name_ == nullptr) return;
+  // Printable ASCII only, so a hostile tag cannot break the JSON export.
+  const std::size_t n = std::min(tag.size(), kSpanTagCapacity - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto c = static_cast<unsigned char>(tag[i]);
+    tag_[i] = c >= 0x20 && c < 0x7f ? tag[i] : '?';
+  }
+  tag_[n] = '\0';
+}
+
 Span::~Span() {
   if (name_ == nullptr) return;
   t_current_span = parent_;
-  record_event({name_, begin_ns_, now_ns() - begin_ns_, id_, parent_,
-                EventKind::kComplete});
+  TraceEvent event{name_, begin_ns_, now_ns() - begin_ns_, id_, parent_,
+                   EventKind::kComplete, {}};
+  std::copy_n(tag_, kSpanTagCapacity, event.tag);
+  record_event(event);
 }
 
 SpanContext current_span_context() noexcept {
@@ -151,13 +165,13 @@ ContextGuard::~ContextGuard() {
 std::uint64_t flow_begin(const char* name) noexcept {
   if (!trace_enabled()) return 0;
   const std::uint64_t id = g_next_id.fetch_add(1, std::memory_order_relaxed);
-  record_event({name, now_ns(), 0, id, t_current_span, EventKind::kFlowStart});
+  record_event({name, now_ns(), 0, id, t_current_span, EventKind::kFlowStart, {}});
   return id;
 }
 
 void flow_end(const char* name, std::uint64_t id) noexcept {
   if (id == 0 || !trace_enabled()) return;
-  record_event({name, now_ns(), 0, id, t_current_span, EventKind::kFlowEnd});
+  record_event({name, now_ns(), 0, id, t_current_span, EventKind::kFlowEnd, {}});
 }
 
 std::size_t trace_event_count() {
@@ -214,12 +228,19 @@ std::string chrome_trace_json() {
           std::snprintf(fields, sizeof(fields),
                         "\",\"cat\":\"hdc\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
                         "\"pid\":1,\"tid\":%u,\"args\":{\"span\":%llu,"
-                        "\"parent\":%llu}}",
+                        "\"parent\":%llu",
                         static_cast<double>(event.begin_ns) / 1e3,
                         static_cast<double>(event.dur_ns) / 1e3, buffer->tid,
                         static_cast<unsigned long long>(event.span),
                         static_cast<unsigned long long>(event.parent));
-          break;
+          out += fields;
+          if (event.tag[0] != '\0') {
+            out += ",\"tag\":\"";
+            append_json_escaped(out, event.tag);
+            out += '"';
+          }
+          out += "}}";
+          continue;
         case EventKind::kFlowStart:
           std::snprintf(fields, sizeof(fields),
                         "\",\"cat\":\"flow\",\"ph\":\"s\",\"ts\":%.3f,"
@@ -263,7 +284,7 @@ std::string collapsed_stacks() {
   // root;...;leaf line weighted by self-time (duration minus the durations
   // of direct children). Ids are process-unique, so chains cross threads.
   struct Node {
-    const char* name;
+    std::string frame;  // name, or name[tag] for a tagged span
     std::uint64_t dur_ns;
     std::uint64_t parent;
     std::uint64_t child_ns = 0;
@@ -276,8 +297,10 @@ std::string collapsed_stacks() {
       std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
       for (const TraceEvent& event : buffer->events) {
         if (event.kind != EventKind::kComplete || event.span == 0) continue;
+        std::string frame = event.name;
+        if (event.tag[0] != '\0') frame = frame + '[' + event.tag + ']';
         nodes.emplace(event.span,
-                      Node{event.name, event.dur_ns, event.parent});
+                      Node{std::move(frame), event.dur_ns, event.parent});
       }
     }
   }
@@ -293,18 +316,18 @@ std::string collapsed_stacks() {
         node.dur_ns > node.child_ns ? node.dur_ns - node.child_ns : 0;
     if (self_ns == 0) continue;
     // Walk root-ward, then reverse; depth-capped as a cycle backstop.
-    std::vector<const char*> chain{node.name};
+    std::vector<const std::string*> chain{&node.frame};
     std::uint64_t cursor = node.parent;
     for (int depth = 0; cursor != 0 && depth < 64; ++depth) {
       const auto it = nodes.find(cursor);
       if (it == nodes.end()) break;  // parent dropped to overflow
-      chain.push_back(it->second.name);
+      chain.push_back(&it->second.frame);
       cursor = it->second.parent;
     }
     std::string line;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       if (!line.empty()) line.push_back(';');
-      line += *it;
+      line += **it;
     }
     folded[line] += self_ns;
   }

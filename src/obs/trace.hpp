@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace hdc::obs {
 
@@ -37,10 +38,18 @@ void set_trace_enabled(bool on) noexcept;
 /// Events each thread's ring buffer can hold before dropping.
 inline constexpr std::size_t kTraceCapacity = 1 << 16;
 
+/// Bytes a span tag keeps (longer tags are truncated; one byte is the NUL).
+inline constexpr std::size_t kSpanTagCapacity = 32;
+
 class Span {
  public:
   /// `name` must point at storage that outlives the trace (string literal).
   explicit Span(const char* name) noexcept;
+  /// Tagged span: `tag` (e.g. the bundle section being decoded) is copied,
+  /// so it may be any runtime string; bytes outside printable ASCII become
+  /// '?'. Exported as args.tag in the Chrome trace and as "name[tag]" in
+  /// collapsed stacks.
+  Span(const char* name, std::string_view tag) noexcept;
   ~Span();
 
   Span(const Span&) = delete;
@@ -54,6 +63,7 @@ class Span {
   std::uint64_t begin_ns_ = 0;
   std::uint64_t id_ = 0;
   std::uint64_t parent_ = 0;
+  char tag_[kSpanTagCapacity] = {};
 };
 
 /// Snapshot of the calling thread's innermost active span (0 = none).

@@ -1,5 +1,6 @@
 #include "util/serde.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <istream>
@@ -33,11 +34,29 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept {
   return hash;
 }
 
+char* write_hex16(char* out, std::uint64_t value) noexcept {
+  for (int i = 15; i >= 0; --i) {
+    out[i] = kHexDigits[value & 0xf];
+    value >>= 4;
+  }
+  return out + 16;
+}
+
 std::string hex16(std::uint64_t value) {
   std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHexDigits[value & 0xf];
-    value >>= 4;
+  write_hex16(out.data(), value);
+  return out;
+}
+
+std::string read_all(std::istream& in, std::size_t size_hint) {
+  std::string out;
+  std::size_t chunk = std::max<std::size_t>(size_hint, 1 << 16);
+  while (in) {
+    const std::size_t filled = out.size();
+    out.resize(filled + chunk);
+    in.read(out.data() + filled, static_cast<std::streamsize>(chunk));
+    out.resize(filled + static_cast<std::size_t>(in.gcount()));
+    chunk = 1 << 16;
   }
   return out;
 }
@@ -156,10 +175,13 @@ Writer& Writer::vec_u64(std::span<const std::uint64_t> values) {
 
 Writer& Writer::words(std::span<const std::uint64_t> values) {
   u64(values.size());
+  buffer_.resize(values.size() * 17);
+  char* cursor = buffer_.data();
   for (const std::uint64_t v : values) {
-    sep();
-    out_ << hex16(v);
+    *cursor++ = ' ';
+    cursor = write_hex16(cursor, v);
   }
+  out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
   return *this;
 }
 

@@ -24,6 +24,13 @@ namespace hdc::util::serde {
 
 /// 16-lowercase-hex-digit rendering of a 64-bit value (fixed width).
 [[nodiscard]] std::string hex16(std::uint64_t value);
+/// The same 16 digits written to `out[0..16)` (no terminator); returns
+/// `out + 16`. For formatting many words into one buffer.
+char* write_hex16(char* out, std::uint64_t value) noexcept;
+
+/// Every remaining byte of `in`. A `size_hint` of the expected byte count
+/// plus one lets a whole file arrive in one sized read.
+[[nodiscard]] std::string read_all(std::istream& in, std::size_t size_hint = 0);
 
 /// Percent-escape bytes so the result is one whitespace-free token.
 [[nodiscard]] std::string escape(std::string_view raw);
@@ -57,6 +64,7 @@ class Writer {
 
   std::ostream& out_;
   bool at_line_start_ = true;
+  std::string buffer_;  // words(): one formatted run, one out_.write
 };
 
 /// Strict token reader; all failures throw std::runtime_error prefixed with

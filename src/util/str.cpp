@@ -66,6 +66,28 @@ bool iequals(std::string_view a, std::string_view b) noexcept {
   return true;
 }
 
+bool LineReader::next(std::string_view& line) noexcept {
+  if (pos_ >= text_.size()) return false;
+  const std::size_t newline = text_.find('\n', pos_);
+  const std::size_t end = newline == std::string_view::npos ? text_.size() : newline;
+  line = text_.substr(pos_, end - pos_);
+  pos_ = newline == std::string_view::npos ? end : end + 1;
+  return true;
+}
+
+bool LineReader::take(std::size_t n, std::string_view& bytes) noexcept {
+  if (n > remaining()) return false;
+  bytes = text_.substr(pos_, n);
+  pos_ += n;
+  return true;
+}
+
+bool LineReader::consume(char c) noexcept {
+  if (pos_ >= text_.size() || text_[pos_] != c) return false;
+  ++pos_;
+  return true;
+}
+
 std::string format_double(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
