@@ -3,8 +3,8 @@
 //
 // Encodes the Pima protocol rows once (768 patients x --dim bits), then fits
 // every downstream model twice on the same labels: once from the dense
-// double matrix (HDC_ML_PACKED kill switch engaged) and once from the
-// bit-packed columnar BitMatrix (popcount kernels). Fit and predict are
+// double matrix (fit, the parity oracle) and once from the bit-packed
+// columnar BitMatrix (fit_bits, popcount kernels). Fit and predict are
 // timed separately; the packed fit + predict is repeated on every supported
 // SIMD tier and its predictions are compared against the dense reference —
 // the "parity_ok" fields gate the packed path on bit-identical behaviour.
@@ -23,7 +23,6 @@
 #include "data/preprocess.hpp"
 #include "data/synthetic.hpp"
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 #include "ml/zoo.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/dispatch.hpp"
@@ -113,8 +112,7 @@ int main(int argc, char** argv) {
     ModelResult res;
     res.name = name;
 
-    // Dense reference: kill switch engaged so fit() takes the double path.
-    hdc::ml::set_packed_enabled(false);
+    // Dense reference: fit() on the double matrix.
     std::vector<int> reference;
     {
       auto model = hdc::ml::make_model(name, budget);
@@ -128,7 +126,6 @@ int main(int argc, char** argv) {
 
     // Packed path, once per supported SIMD tier; parity against the dense
     // reference predictions at every tier.
-    hdc::ml::set_packed_enabled(true);
     for (const Tier tier : hdc::simd::supported_tiers()) {
       hdc::simd::set_tier(tier);
       TierRun run;
@@ -157,7 +154,6 @@ int main(int argc, char** argv) {
                 res.parity_ok() ? "ok" : "FAIL");
     results.push_back(std::move(res));
   }
-  hdc::ml::reset_packed_enabled();
 
   double hist_speedup = 0.0;
   bool all_parity = true;

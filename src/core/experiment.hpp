@@ -33,11 +33,6 @@ struct ExperimentConfig {
   /// process-wide pool. Results are bit-identical for every setting (the
   /// golden determinism test pins 1 vs hardware_threads()).
   std::size_t threads = 0;
-  /// Feed hypervector folds to the downstream models as bit-packed columnar
-  /// matrices (popcount kernels) instead of dense doubles. Splits and
-  /// predictions are bit-identical either way; only speed and memory change.
-  /// The HDC_ML_PACKED environment switch can still veto the packed path.
-  bool packed_ml = true;
   /// Encode and train fold bitplanes in shards of at most this many rows
   /// (0 = everything in one block, the classic path). Any positive value
   /// routes fitting through the models' fit_shards path — whose output is
@@ -68,7 +63,8 @@ struct FoldData {
 
 /// Build a FoldData for the given row subsets. In hypervector mode the
 /// extractor is fit on `train` only (no encoding leakage); `allow_packed`
-/// gates the BitMatrix fast path (the NN protocol needs dense matrices).
+/// selects the BitMatrix path the zoo models fit through (the NN protocol
+/// passes false: it needs dense matrices).
 /// Pure function of (ds, indices, config): every call with the same inputs
 /// yields the same fold, regardless of the calling thread.
 [[nodiscard]] FoldData materialize_fold(const data::Dataset& ds,

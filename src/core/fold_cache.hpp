@@ -4,7 +4,7 @@
 // the serial driver does that once per (model, fold) pair, so ten models
 // re-encode the identical fold partition ten times. The grid runner instead
 // encodes each (dataset, seed, fold, dim) exactly once into a FoldData
-// (bit-packed BitMatrix pair + labels, or the dense mirror in raw/unpacked
+// (bit-packed BitMatrix pair + labels, or the dense mirror in raw-feature
 // mode) and shares it across every model task through this cache.
 //
 // Entries are ref-counted by *expected consumers*: the producer inserts with
@@ -14,11 +14,9 @@
 // flight, not the whole grid. shared_ptr keeps the payload alive for any
 // consumer still holding it past eviction.
 //
-// Kill switch: HDC_FOLD_CACHE=0 (or off/false) disables sharing — every
-// consumer then re-encodes its fold itself. Results are bit-identical either
-// way (materialize_fold is a pure function of its inputs); only wall-clock
-// and memory change. set_fold_cache_enabled() overrides programmatically for
-// tests, mirroring the HDC_ML_PACKED / HDC_SIMD conventions.
+// Sharing cannot change a result: materialize_fold is a pure function of its
+// inputs, and core_grid_test diffs the scheduled grid against the serial
+// driver, which re-encodes every fold per model.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +34,7 @@ namespace hdc::core {
 /// Identity of one encoded fold. The dataset name stands in for the dataset
 /// contents (grid callers name their datasets uniquely); everything else
 /// that changes the encoding — CV seed, fold index, dimensionality,
-/// extractor seed, input mode, packed route — is part of the key.
+/// extractor seed, input mode — is part of the key.
 struct FoldKey {
   std::string dataset;
   std::uint64_t cv_seed = 0;
@@ -44,45 +42,34 @@ struct FoldKey {
   std::uint64_t dimensions = 0;
   std::uint64_t extractor_seed = 0;
   InputMode mode = InputMode::kHypervectors;
-  bool packed = true;
 
   friend bool operator<(const FoldKey& a, const FoldKey& b) {
     const auto tie = [](const FoldKey& k) {
       return std::tie(k.dataset, k.cv_seed, k.fold, k.dimensions,
-                      k.extractor_seed, k.mode, k.packed);
+                      k.extractor_seed, k.mode);
     };
     return tie(a) < tie(b);
   }
 };
 
-/// Current state of the fold-cache switch (HDC_FOLD_CACHE, default on).
-[[nodiscard]] bool fold_cache_enabled() noexcept;
-
-/// Force the switch for this process (tests, benches).
-void set_fold_cache_enabled(bool enabled) noexcept;
-
-/// Drop any programmatic override and return to HDC_FOLD_CACHE / default.
-void reset_fold_cache_enabled() noexcept;
-
 class FoldEncodingCache {
  public:
   struct Stats {
     std::uint64_t hits = 0;       // acquire() served from the cache
-    std::uint64_t misses = 0;     // acquire() found nothing (or disabled)
+    std::uint64_t misses = 0;     // acquire() found nothing
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;  // entries freed after their last release()
     std::size_t peak_entries = 0;
   };
 
-  /// Store an encoding that `expected_users` consumers will acquire+release.
-  /// No-op when the cache is disabled. Inserting an existing key adds the
-  /// users to the outstanding count (the payloads are interchangeable by
-  /// construction).
+  /// Store an encoding that `expected_users` consumers will acquire+release
+  /// (no-op for zero users). Inserting an existing key adds the users to the
+  /// outstanding count (the payloads are interchangeable by construction).
   void put(const FoldKey& key, std::shared_ptr<const FoldData> fold,
            std::size_t expected_users);
 
-  /// The cached encoding, or nullptr on miss / disabled cache. Each
-  /// successful acquire must be paired with one release().
+  /// The cached encoding, or nullptr on a miss. Each successful acquire
+  /// must be paired with one release().
   [[nodiscard]] std::shared_ptr<const FoldData> acquire(const FoldKey& key);
 
   /// Signal that one expected user is done with the entry; evicts on zero.

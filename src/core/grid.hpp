@@ -13,9 +13,8 @@
 //        |                               into the FoldEncodingCache
 //        v
 //   fit/eval(d, model m, fold f)         one task per (d, m, f); acquires
-//        |                               the cached fold (or re-encodes it
-//        |                               when HDC_FOLD_CACHE=0), fits a
-//        v                               fresh model, scores the test rows
+//        |                               the cached fold, fits a fresh
+//        v                               model, scores the test rows
 //   reduce(d, m)                         one task per (d, m); folds the k
 //                                        scores into a CvResult in fixed
 //                                        fold order via summarize_folds()
@@ -28,7 +27,7 @@
 // uses), tasks only communicate through their dependency edges, and reduces
 // read fold scores from a pre-indexed array in fold order — so the grid's
 // metrics are EXPECT_EQ-identical to the serial path for every worker
-// count, cache on or off.
+// count.
 #pragma once
 
 #include <cstddef>

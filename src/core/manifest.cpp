@@ -4,9 +4,7 @@
 #include <sstream>
 
 #include "core/experiment.hpp"
-#include "core/fold_cache.hpp"
 #include "data/chunked.hpp"
-#include "ml/packed.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -93,8 +91,8 @@ RunManifest make_run_manifest(const data::Dataset& ds,
   m.simd_tier = simd::tier_name(simd::active_tier());
   m.threads = config.threads;
   m.hardware_threads = parallel::hardware_threads();
-  m.packed_ml = config.packed_ml && ml::packed_enabled();
-  m.fold_cache = fold_cache_enabled();
+  m.packed_ml = true;
+  m.fold_cache = true;
   m.obs_enabled = obs::enabled();
   m.trace_enabled = obs::trace_enabled();
   m.shard_rows = config.max_resident_rows;

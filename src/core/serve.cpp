@@ -286,4 +286,15 @@ std::uint64_t ServeEngine::requests_served() const noexcept {
   return served_.load(std::memory_order_relaxed);
 }
 
+std::size_t ServeEngine::memo_entries() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t largest = 0;
+  for (const std::unique_ptr<Scratch>& scratch : scratch_pool_) {
+    for (const auto& memo : scratch->encoder.memo) {
+      largest = std::max(largest, memo.size());
+    }
+  }
+  return largest;
+}
+
 }  // namespace hdc::core

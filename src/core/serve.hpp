@@ -87,6 +87,10 @@ class ServeEngine {
   /// Requests answered so far (classify + drained submits).
   [[nodiscard]] std::uint64_t requests_served() const noexcept;
 
+  /// Largest per-feature encode memo over the idle pooled scratches — at
+  /// most hv::kMaxMemoEntries however many distinct values were served.
+  [[nodiscard]] std::size_t memo_entries() const;
+
  private:
   enum class PredictorKind { kHamming, kNn, kMl };
 
@@ -117,7 +121,7 @@ class ServeEngine {
   const ml::Classifier* ml_model_ = nullptr;  // kMl: borrowed from bundle_
   std::string model_name_;
 
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable idle_cv_;
   std::deque<Request> queue_;
   std::vector<std::unique_ptr<Scratch>> scratch_pool_;

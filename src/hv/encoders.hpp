@@ -27,6 +27,15 @@
 
 namespace hdc::hv {
 
+/// Entry cap of each encode memo: the CategoricalEncoder item memory and
+/// every per-feature map in RecordEncoder::Scratch. Memoised vectors are
+/// pure functions of (seed, value), so past the cap a miss is re-encoded
+/// instead of stored: outputs never change, and a stream of new values
+/// holds at most kMaxMemoEntries × D/8 bytes per memo (5 MB at D = 10k).
+/// A LevelEncoder has at most bits/4 + 1 keys, so below D = 16380 its memo
+/// never reaches the cap.
+inline constexpr std::size_t kMaxMemoEntries = 4096;
+
 /// Interface for encoding one scalar feature value into a hypervector.
 class FeatureEncoder {
  public:
@@ -128,11 +137,14 @@ class BinaryEncoder final : public FeatureEncoder {
 };
 
 /// Unordered categorical features: each distinct integer category gets an
-/// independent random vector. Values are rounded to nearest integer.
+/// independent random vector. Values are rounded to nearest integer; a
+/// value with no such integer (NaN, ±inf, |v| >= 2^63) makes encode,
+/// encode_into and memo_key throw std::invalid_argument.
 ///
-/// Vectors are generated once per category and memoised in a small item
-/// memory (category -> hypervector); contents still depend only on
-/// (seed, category), so outputs are bit-identical to regenerating.
+/// Vectors are generated on first use and memoised in an item memory
+/// (category -> hypervector) of at most kMaxMemoEntries categories; later
+/// categories are regenerated per call. Contents depend only on
+/// (seed, category), so outputs are bit-identical either way.
 class CategoricalEncoder final : public FeatureEncoder {
  public:
   CategoricalEncoder(std::size_t bits, std::uint64_t seed);
@@ -142,13 +154,13 @@ class CategoricalEncoder final : public FeatureEncoder {
   void encode_into(double value, BitVector& out) const override;
   [[nodiscard]] std::optional<std::uint64_t> memo_key(double value) const override;
 
-  /// Number of memoised categories (for tests).
+  /// Number of memoised categories (for tests); at most kMaxMemoEntries.
   [[nodiscard]] std::size_t item_memory_size() const;
 
  private:
-  /// Vector for a category, generated and cached on first use. The returned
-  /// reference stays valid for the encoder's lifetime (node-based map).
-  const BitVector& item(long long category) const;
+  /// Vector for a category into `out`: from the item memory, or generated
+  /// (and stored while the memory is below its cap).
+  void item_into(long long category, BitVector& out) const;
 
   std::size_t bits_;
   std::uint64_t seed_;
@@ -175,7 +187,8 @@ class RecordEncoder {
   /// Reusable per-thread buffers for the batch-encoding hot path. The memo
   /// caches quantised per-feature vectors (keyed by FeatureEncoder::
   /// memo_key), so repeated values skip re-encoding entirely; being
-  /// per-scratch keeps the hot path lock-free and thread-safe.
+  /// per-scratch keeps the hot path lock-free and thread-safe. Each
+  /// feature's map holds at most kMaxMemoEntries vectors.
   struct Scratch {
     std::vector<BitVector> features;
     std::vector<std::unordered_map<std::uint64_t, BitVector>> memo;

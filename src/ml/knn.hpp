@@ -1,6 +1,6 @@
 // K-nearest-neighbours classifier (Euclidean distance, majority vote).
 //
-// When the training matrix is binary (hypervector features) the rows are
+// Fitted through fit_bits() (hypervector features), the rows are
 // retained bit-packed and squared Euclidean distance is answered as a
 // Hamming distance through the simd dispatch table — for 0/1 data the two
 // are the same exact integer, so neighbour sets and votes are bit-identical
@@ -41,8 +41,8 @@ class KnnClassifier final : public Classifier {
   void load_state(std::istream& in) override;
 
   /// Opt-in sub-linear neighbour search over the packed training rows (the
-  /// hv::ann coarse-filter / exact-rerank index). Requires a packed (binary)
-  /// training store. Off by default; not persisted by save_state — callers
+  /// hv::ann coarse-filter / exact-rerank index). Requires a store fitted
+  /// through fit_bits(). Off by default; not persisted by save_state — callers
   /// re-enable after load when they want it.
   void enable_ann(const hv::ann::Config& config = {});
   void disable_ann() noexcept { ann_.reset(); }
@@ -52,8 +52,8 @@ class KnnClassifier final : public Classifier {
   [[nodiscard]] double vote(std::vector<std::pair<double, int>>& dist) const;
 
   KnnConfig config_;
-  Matrix train_X_;             // dense store (non-binary training data)
-  hv::BitMatrix train_bits_;   // packed store (binary training data)
+  Matrix train_X_;             // dense store (fit)
+  hv::BitMatrix train_bits_;   // packed store (fit_bits)
   Labels train_y_;
   std::optional<hv::ann::Index> ann_;  // opt-in, binary store only
 };

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 #include "ml/sharded.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -22,12 +21,6 @@ LogisticRegression::LogisticRegression(LogisticConfig config) : config_(config) 
 void LogisticRegression::fit(const Matrix& X, const Labels& y) {
   obs::Span span("ml.logistic.fit");
   validate_training_data(X, y);
-  if (packed_enabled()) {
-    if (const std::optional<hv::BitMatrix> bits = try_pack(X)) {
-      fit_packed(*bits, y);
-      return;
-    }
-  }
   const std::size_t n = X.size();
   const std::size_t d = X.front().size();
 
@@ -61,15 +54,7 @@ void LogisticRegression::fit(const Matrix& X, const Labels& y) {
 }
 
 void LogisticRegression::fit_bits(const hv::BitMatrix& X, const Labels& y) {
-  if (!packed_enabled()) {
-    Classifier::fit_bits(X, y);  // kill switch covers fit_bits callers too
-    return;
-  }
   validate_training_bits(X, y);
-  fit_packed(X, y);
-}
-
-void LogisticRegression::fit_packed(const hv::BitMatrix& X, const Labels& y) {
   obs::Span span("ml.logistic.fit_packed");
   const std::size_t n = X.rows();
   const std::size_t d = X.cols();
@@ -126,7 +111,7 @@ void LogisticRegression::fit_shards(const ShardSource& src,
   inv_std_.assign(d, 1.0);
   if (config_.standardize) {
     // Integer popcounts merged across shards equal the whole-column
-    // popcount exactly, so these are the same moments fit_packed computes.
+    // popcount exactly, so these are the same moments fit_bits computes.
     std::vector<std::size_t> pop(d, 0);
     for (std::size_t s = 0; s < src.num_shards(); ++s) {
       const hv::BitMatrix& shard = src.shard(s);

@@ -40,7 +40,6 @@ class LogisticRegression final : public Classifier {
   [[nodiscard]] double bias() const noexcept { return b_; }
 
  private:
-  void fit_packed(const hv::BitMatrix& X, const Labels& y);
   void run_gradient_descent(const std::vector<double>& Z, const Labels& y,
                             std::size_t n, std::size_t d);
 

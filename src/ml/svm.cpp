@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 #include "ml/sharded.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
@@ -41,12 +40,6 @@ std::vector<double> SvcClassifier::standardized(std::span<const double> x) const
 
 void SvcClassifier::fit(const Matrix& X, const Labels& y) {
   validate_training_data(X, y);
-  if (packed_enabled()) {
-    if (const std::optional<hv::BitMatrix> bits = try_pack(X)) {
-      fit_packed(*bits, y);
-      return;
-    }
-  }
   const std::size_t n = X.size();
   const std::size_t d = X.front().size();
 
@@ -76,15 +69,7 @@ void SvcClassifier::fit(const Matrix& X, const Labels& y) {
 }
 
 void SvcClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
-  if (!packed_enabled()) {
-    Classifier::fit_bits(X, y);  // kill switch covers fit_bits callers too
-    return;
-  }
   validate_training_bits(X, y);
-  fit_packed(X, y);
-}
-
-void SvcClassifier::fit_packed(const hv::BitMatrix& X, const Labels& y) {
   obs::Span span("ml.svc.fit_packed");
   const std::size_t n = X.rows();
   const std::size_t d = X.cols();
@@ -139,7 +124,7 @@ void SvcClassifier::fit_shards(const ShardSource& src,
   inv_std_.assign(d, 1.0);
   if (config_.standardize) {
     // Whole-cohort moments from integer popcounts merged across shards —
-    // exactly the values fit_packed computes on the concatenated matrix.
+    // exactly the values fit_bits computes on the concatenated matrix.
     std::vector<std::size_t> pop(d, 0);
     for (std::size_t s = 0; s < src.num_shards(); ++s) {
       const hv::BitMatrix& shard = src.shard(s);

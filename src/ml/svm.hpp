@@ -51,7 +51,6 @@ class SvcClassifier final : public Classifier {
   [[nodiscard]] std::size_t support_vector_count() const noexcept;
 
  private:
-  void fit_packed(const hv::BitMatrix& X, const Labels& y);
   /// gamma heuristic + kernel matrix + SMO over the already-populated
   /// train_X_/targets_ members. `bits` (may be null) lets the RBF kernel
   /// matrix come from XOR bit-planes instead of dense row pairs.

@@ -7,13 +7,10 @@
 // naive triple loop (k strictly ascending, no partial-sum reassociation
 // across blocks, same zero-skip tests). Blocking therefore changes only the
 // memory traffic, never a bit of the result: Sequential NN training loss is
-// bit-identical with blocking on or off, and independent of thread count
-// (the kernels are single-threaded by design — the experiment grid
-// parallelises across folds/models instead).
-//
-// Kill switch: HDC_NN_BLOCKED=0 (or off/false) falls back to the naive
-// loops; set_blocked_matmul() overrides programmatically (parity tests,
-// benches). Mirrors the HDC_ML_PACKED / HDC_SIMD switch conventions.
+// bit-identical to the naive loops, and independent of thread count (the
+// kernels are single-threaded by design — the experiment grid parallelises
+// across folds/models instead). nn_matrix_test keeps the naive triple loops
+// as the oracle every kernel is diffed against, bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -21,15 +18,6 @@
 #include <vector>
 
 namespace hdc::nn {
-
-/// Current state of the blocked-kernel switch (HDC_NN_BLOCKED, default on).
-[[nodiscard]] bool blocked_matmul_enabled() noexcept;
-
-/// Force the switch for this process (tests, benches).
-void set_blocked_matmul(bool enabled) noexcept;
-
-/// Drop any programmatic override and return to HDC_NN_BLOCKED / default.
-void reset_blocked_matmul() noexcept;
 
 class Matrix {
  public:

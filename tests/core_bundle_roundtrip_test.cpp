@@ -3,8 +3,9 @@
 // are fitted on golden synthetic seeds, saved, loaded, and compared with
 // EXPECT_EQ — on re-serialized state (the save/load/save string oracle: any
 // lost or mutated field shows up as a byte diff) and on predict_all_bits
-// outputs. The packed-ML toggle is exercised both ways, and the suite runs
-// under the mlkernel label configs (sanitizers + HDC_DISABLE_SIMD).
+// outputs. Models fitted through fit_bits and through fit are both
+// round-tripped, and the suite runs under the mlkernel label configs
+// (sanitizers + HDC_DISABLE_SIMD).
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "data/synthetic.hpp"
 #include "hv/bit_matrix.hpp"
 #include "hv/search.hpp"
-#include "ml/packed.hpp"
 #include "ml/zoo.hpp"
 #include "nn/sequential.hpp"
 
@@ -38,13 +38,6 @@ const std::vector<std::string> kModelNames = {
     "SGD",           "SVC",  "Logistic Regression", "LGBM",    "Naive Bayes"};
 
 constexpr double kBudget = 0.15;  // shrink the boosted models' round counts
-
-/// Restores the HDC_ML_PACKED-derived default on scope exit.
-class PackedGuard {
- public:
-  PackedGuard() = default;
-  ~PackedGuard() { hdc::ml::reset_packed_enabled(); }
-};
 
 struct Golden {
   hdc::data::Dataset ds;
@@ -92,12 +85,23 @@ std::string save_to_string(const hdc::ml::Classifier& model) {
   return out.str();
 }
 
-/// Fit `name` on the golden seed, round-trip it, and require (1) identical
-/// re-serialized state and (2) identical hard predictions on the training
-/// bits — the strongest equality the public interface can express.
-void expect_model_round_trips(const std::string& name, const Golden& g) {
+/// Fit `name` on the golden seed — through fit_bits, or through fit on the
+/// same vectors expanded to doubles when `dense` — round-trip it, and
+/// require (1) identical re-serialized state and (2) identical hard
+/// predictions on the training bits — the strongest equality the public
+/// interface can express.
+void expect_model_round_trips(const std::string& name, const Golden& g,
+                              bool dense = false) {
   auto original = hdc::ml::make_model(name, kBudget);
-  original->fit_bits(g.bits, g.ds.labels());
+  if (dense) {
+    hdc::ml::Matrix X;
+    for (std::size_t i = 0; i < g.bits.rows(); ++i) {
+      X.push_back(g.bits.row_doubles(i));
+    }
+    original->fit(X, g.ds.labels());
+  } else {
+    original->fit_bits(g.bits, g.ds.labels());
+  }
   const std::string saved = save_to_string(*original);
 
   auto loaded = hdc::ml::make_model(name, kBudget);
@@ -125,17 +129,15 @@ TEST(BundleZooRoundTrip, EveryModelOnSylhet) {
 
 TEST(BundleZooRoundTrip, PackedAndDenseConfigsBothRoundTrip) {
   // KNN persists its training store in whichever representation it was
-  // fitted with ("packed" vs "dense"); both must survive the trip, and the
-  // other models' state must be representation-independent.
-  PackedGuard guard;
-  for (const bool packed : {true, false}) {
-    hdc::ml::set_packed_enabled(packed);
-    SCOPED_TRACE(packed ? "packed" : "dense");
+  // fitted with ("packed" by fit_bits vs "dense" by fit); both must survive
+  // the trip, and the other models' state must be representation-independent.
+  for (const bool dense : {false, true}) {
+    SCOPED_TRACE(dense ? "dense" : "packed");
     for (const std::string& name : {std::string("KNN"),
                                     std::string("Logistic Regression"),
                                     std::string("Random Forest")}) {
       SCOPED_TRACE(name);
-      expect_model_round_trips(name, golden_pima());
+      expect_model_round_trips(name, golden_pima(), dense);
     }
   }
 }

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/fold_cache.hpp"
 #include "data/synthetic.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -111,26 +110,6 @@ TEST(Grid, SerialCellMatchesKfoldDriver) {
   EXPECT_EQ(grid.datasets[0].models[0].cv.mean_accuracy, direct.mean_accuracy);
   EXPECT_EQ(grid.datasets[0].models[0].cv.stddev_accuracy,
             direct.stddev_accuracy);
-}
-
-TEST(Grid, CacheDisabledIsBitIdentical) {
-  // HDC_FOLD_CACHE=0 re-encodes per consumer; only wall-clock may differ.
-  const data::Dataset pima = small_pima();
-  const data::Dataset sylhet = small_sylhet();
-  const auto ds = specs(pima, sylhet);
-  GridConfig config = fast_grid();
-  config.threads = 2;
-  config.models = {"KNN", "Logistic Regression", "Decision Tree"};
-
-  const GridResult cached = run_grid(ds, config);
-  set_fold_cache_enabled(false);
-  const GridResult uncached = run_grid(ds, config);
-  reset_fold_cache_enabled();
-
-  expect_identical(cached, uncached);
-  EXPECT_GT(cached.stats.encode_tasks, 0u);
-  EXPECT_EQ(uncached.stats.encode_tasks, 0u);  // no tasks worth sharing
-  EXPECT_EQ(uncached.stats.cache_hits, 0u);
 }
 
 TEST(Grid, StatsReflectDagShapeAndDedup) {

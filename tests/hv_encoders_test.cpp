@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 namespace hdc::hv {
 namespace {
 
 constexpr std::size_t kDim = 10000;
+constexpr std::size_t kSmallDim = 64;  // memo-cap tests encode > 4096 values
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(LevelEncoder, MinMapsToSeed) {
   const LevelEncoder enc(kDim, 0.0, 100.0, 1);
@@ -125,6 +129,74 @@ TEST(CategoricalEncoder, DistinctCategoriesQuasiOrthogonal) {
   const CategoricalEncoder enc(kDim, 14);
   EXPECT_NEAR(enc.encode(0.0).hamming_fraction(enc.encode(1.0)), 0.5, 0.05);
   EXPECT_NEAR(enc.encode(1.0).hamming_fraction(enc.encode(7.0)), 0.5, 0.05);
+}
+
+TEST(CategoricalEncoder, RejectsValuesWithoutACategory) {
+  const CategoricalEncoder enc(kDim, 15);
+  BitVector out;
+  for (const double v : {std::nan(""), kInf, -kInf, 0x1p63, -0x1p63, 1e300,
+                         -1e300}) {
+    SCOPED_TRACE(v);
+    EXPECT_THROW((void)enc.encode(v), std::invalid_argument);
+    EXPECT_THROW(enc.encode_into(v, out), std::invalid_argument);
+    EXPECT_THROW((void)enc.memo_key(v), std::invalid_argument);
+  }
+  EXPECT_EQ(enc.item_memory_size(), 0u);
+  // The doubles nearest ±2^63 from inside are integers that fit a long long.
+  const double big = std::nextafter(0x1p63, 0.0);
+  EXPECT_EQ(enc.memo_key(big).value(),
+            static_cast<std::uint64_t>(static_cast<long long>(big)));
+  EXPECT_EQ(enc.memo_key(-big).value(),
+            static_cast<std::uint64_t>(static_cast<long long>(-big)));
+  EXPECT_EQ(enc.encode(-big), CategoricalEncoder(kDim, 15).encode(-big));
+}
+
+TEST(CategoricalEncoder, ItemMemoryStopsAtCapWithoutChangingVectors) {
+  const CategoricalEncoder enc(kSmallDim, 16);
+  const std::size_t categories = kMaxMemoEntries + 100;
+  for (std::size_t c = 0; c < categories; ++c) {
+    (void)enc.encode(static_cast<double>(c));
+  }
+  EXPECT_EQ(enc.item_memory_size(), kMaxMemoEntries);
+  // Memoised and regenerated categories alike equal a fresh encoder's first
+  // (generated) vector, through both entry points.
+  BitVector out;
+  for (std::size_t c = 0; c < categories; c += 7) {
+    const BitVector fresh =
+        CategoricalEncoder(kSmallDim, 16).encode(static_cast<double>(c));
+    EXPECT_EQ(enc.encode(static_cast<double>(c)), fresh) << c;
+    enc.encode_into(static_cast<double>(c), out);
+    EXPECT_EQ(out, fresh) << c;
+  }
+  EXPECT_EQ(enc.item_memory_size(), kMaxMemoEntries);
+}
+
+TEST(RecordEncoder, ScratchMemoStopsAtCapWithoutChangingEncodings) {
+  const auto make = [] {
+    RecordEncoder rec(kSmallDim);
+    rec.add_feature(std::make_unique<CategoricalEncoder>(kSmallDim, 30));
+    rec.add_feature(std::make_unique<BinaryEncoder>(kSmallDim, 31));
+    rec.add_feature(std::make_unique<LevelEncoder>(kSmallDim, 0.0, 1.0, 32));
+    return rec;
+  };
+  const RecordEncoder rec = make();
+  RecordEncoder::Scratch scratch;
+  const std::size_t rows = kMaxMemoEntries + 100;
+  // Each category is seen twice: once new, once again after the memo filled.
+  for (std::size_t pass = 0; pass < 2; ++pass) {
+    for (std::size_t c = 0; c < rows; ++c) {
+      const double row[] = {static_cast<double>(c), static_cast<double>(c % 2),
+                            static_cast<double>(c % 10) / 10.0};
+      const BitVector encoded = rec.encode(row, scratch);
+      if (c % 13 == 0) {
+        EXPECT_EQ(encoded, make().encode(row)) << pass << "/" << c;
+      }
+    }
+  }
+  ASSERT_EQ(scratch.memo.size(), 3u);
+  EXPECT_EQ(scratch.memo[0].size(), kMaxMemoEntries);
+  EXPECT_EQ(scratch.memo[1].size(), 2u);
+  EXPECT_LE(scratch.memo[2].size(), kSmallDim / 4 + 1);  // level keys: never capped
 }
 
 TEST(RecordEncoder, BundlesFeatures) {
