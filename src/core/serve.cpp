@@ -1,6 +1,7 @@
 #include "core/serve.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -168,7 +169,7 @@ int ServeEngine::classify(std::span<const double> row) {
 }
 
 std::future<int> ServeEngine::submit(std::vector<double> row) {
-  Request request;
+  Request request;  // its Timer starts here: latency includes queue wait
   request.row = std::move(row);
   std::future<int> result = request.result.get_future();
   bool start_drain = false;
@@ -192,9 +193,10 @@ std::future<int> ServeEngine::submit(std::vector<double> row) {
 
 void ServeEngine::drain() {
   obs::Span span("serve.drain");
-  // ThreadPool tasks must not throw; every failure lands in a promise.
+  parallel::ThreadPool& pool = resolve_pool(config_.pool);
   for (;;) {
     std::vector<Request> batch;
+    std::size_t slices = 0;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       const std::size_t take = std::min(queue_.size(), config_.max_batch);
@@ -209,77 +211,113 @@ void ServeEngine::drain() {
         queue_.pop_front();
       }
       obs::gauge("serve.queue_depth").add(-static_cast<std::int64_t>(take));
-    }
-    const util::Timer batch_timer;
-
-    std::unique_ptr<Scratch> scratch = acquire_scratch();
-    // Encode sequentially; a bad record fails its own promise only.
-    std::vector<hv::BitVector> encoded;
-    std::vector<std::size_t> valid;  // batch index of each encoded row
-    encoded.reserve(batch.size());
-    valid.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      try {
-        encoded.push_back(bundle_.extractor->encode_row(
-            batch[i].row, scratch->encoder, scratch->row_buffer));
-        valid.push_back(i);
-      } catch (...) {
-        batch[i].result.set_exception(std::current_exception());
-      }
-    }
-    release_scratch(std::move(scratch));
-
-    if (kind_ == PredictorKind::kMl && !encoded.empty()) {
-      // The coalescing payoff: one packed predict for the whole sweep.
-      std::vector<int> predictions;
-      try {
-        hv::PackedHVs packed(encoded.front().size(), encoded.size());
-        for (std::size_t i = 0; i < encoded.size(); ++i) {
-          packed.set_row(i, encoded[i]);
-        }
-        predictions =
-            ml_model_->predict_all_bits(hv::BitMatrix::from_rows(std::move(packed)));
-      } catch (...) {
-        for (const std::size_t i : valid) {
-          batch[i].result.set_exception(std::current_exception());
-        }
-      }
-      if (predictions.size() == valid.size()) {
-        for (std::size_t i = 0; i < valid.size(); ++i) {
-          batch[valid[i]].result.set_value(predictions[i]);
-        }
-        served_.fetch_add(valid.size(), std::memory_order_relaxed);
-        obs::counter("serve.requests").add(valid.size());
-      }
-    } else {
-      for (std::size_t i = 0; i < valid.size(); ++i) {
-        try {
-          batch[valid[i]].result.set_value(predict_encoded(encoded[i]));
-          served_.fetch_add(1, std::memory_order_relaxed);
-          obs::counter("serve.requests").add(1);
-        } catch (...) {
-          batch[valid[i]].result.set_exception(std::current_exception());
-        }
-      }
+      slices = std::min(pool.size(), take);
+      slices_in_flight_ += slices - 1;
     }
     obs::counter("serve.batches").add(1);
     obs::histogram("serve.batch_size").record(static_cast<double>(batch.size()));
-    if (obs::enabled() && !batch.empty()) {
-      // Per-request share of the batch's wall time: the coalesced analogue
-      // of classify()'s latency sample.
-      const double per_request =
-          batch_timer.seconds() / static_cast<double>(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        serve_latency().record(per_request);
+
+    // Fan the sweep out: contiguous slices whose sizes differ by at most
+    // one, all but the last answered by their own pool task, the last here.
+    // No join: the sweep moves on while its slices run, and shutdown()
+    // waits on slices_in_flight_.
+    const auto bound = [&](std::size_t s) { return s * batch.size() / slices; };
+    for (std::size_t s = 0; s + 1 < slices; ++s) {
+      // std::function needs a copyable callable, so the task owns its
+      // moved-out requests through a shared_ptr nobody else holds.
+      auto slice = std::make_shared<std::vector<Request>>(
+          std::make_move_iterator(batch.begin() + static_cast<std::ptrdiff_t>(bound(s))),
+          std::make_move_iterator(batch.begin() +
+                                  static_cast<std::ptrdiff_t>(bound(s + 1))));
+      pool.submit([this, slice] {
+        {
+          obs::Span slice_span("serve.slice");
+          // A transient scratch: pooled ones would each keep a full encode
+          // memo, one per worker, multiplying the memos' resident memory.
+          Scratch scratch;
+          answer(*slice, scratch);
+        }
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (--slices_in_flight_ == 0) idle_cv_.notify_all();
+      });
+    }
+    std::unique_ptr<Scratch> scratch = acquire_scratch();
+    answer(std::span<Request>(batch).subspan(bound(slices - 1)), *scratch);
+    release_scratch(std::move(scratch));
+  }
+}
+
+void ServeEngine::answer(std::span<Request> requests, Scratch& scratch) {
+  // Runs as (part of) a pool task, which must not throw: every failure
+  // lands in its own request's promise.
+  std::vector<hv::BitVector> encoded;
+  std::vector<std::size_t> valid;  // request index of each encoded row
+  try {
+    encoded.reserve(requests.size());
+    valid.reserve(requests.size());
+  } catch (...) {
+    for (Request& request : requests) {
+      request.result.set_exception(std::current_exception());
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    try {
+      encoded.push_back(bundle_.extractor->encode_row(
+          requests[i].row, scratch.encoder, scratch.row_buffer));
+      valid.push_back(i);
+    } catch (...) {
+      requests[i].result.set_exception(std::current_exception());
+    }
+  }
+
+  std::size_t answered = 0;
+  const auto settle = [&answered](Request& request, int prediction) {
+    request.result.set_value(prediction);
+    ++answered;
+    // submit() -> answer, queue wait included: the coalesced analogue of
+    // classify()'s latency sample.
+    if (obs::enabled()) serve_latency().record(request.submitted.seconds());
+  };
+  if (kind_ == PredictorKind::kMl && !encoded.empty()) {
+    // One packed predict over the slice.
+    try {
+      hv::PackedHVs packed(encoded.front().size(), encoded.size());
+      for (std::size_t i = 0; i < encoded.size(); ++i) {
+        packed.set_row(i, encoded[i]);
+      }
+      const std::vector<int> predictions =
+          ml_model_->predict_all_bits(hv::BitMatrix::from_rows(std::move(packed)));
+      if (predictions.size() != valid.size()) {
+        throw std::logic_error("ServeEngine: predict_all_bits row count mismatch");
+      }
+      for (std::size_t i = 0; i < valid.size(); ++i) {
+        settle(requests[valid[i]], predictions[i]);
+      }
+    } catch (...) {
+      for (const std::size_t i : valid) {
+        requests[i].result.set_exception(std::current_exception());
+      }
+    }
+  } else {
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      try {
+        settle(requests[valid[i]], predict_encoded(encoded[i]));
+      } catch (...) {
+        requests[valid[i]].result.set_exception(std::current_exception());
       }
     }
   }
+  served_.fetch_add(answered, std::memory_order_relaxed);
+  obs::counter("serve.requests").add(answered);
 }
 
 void ServeEngine::shutdown() {
   std::unique_lock<std::mutex> lock(mutex_);
   accepting_ = false;
-  idle_cv_.wait(lock, [this] { return queue_.empty() && !draining_; });
+  idle_cv_.wait(lock, [this] {
+    return queue_.empty() && !draining_ && slices_in_flight_ == 0;
+  });
 }
 
 std::uint64_t ServeEngine::requests_served() const noexcept {

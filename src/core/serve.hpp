@@ -5,20 +5,26 @@
 //  * classify(row) — synchronous fast path: encode the record through a
 //    scratch-reusing single-row encoder (no per-request allocation after
 //    warm-up) and answer from the selected predictor.
-//  * submit(row) — request-coalescing queue: concurrent single-record
-//    requests are batched by a drain task on the shared ThreadPool and
-//    answered through one packed predict_all_bits call per sweep.
+//  * submit(row) — request-coalescing queue: a drain task on the shared
+//    ThreadPool takes up to max_batch queued requests per sweep and splits
+//    them into min(pool size, batch) contiguous slices. Every slice but the
+//    last becomes its own pool task; the drain answers the last itself and
+//    moves on to the next sweep without waiting. A slice encodes its rows
+//    and answers them with one packed predict_all_bits call (zoo models) or
+//    per row (Hamming exact or ANN, Sequential NN).
 //
 // Both paths produce bit-identical predictions for every row regardless of
-// batch grouping or thread interleaving: zoo models answer each request via
+// batch grouping, slicing or thread interleaving: zoo models answer through
 // the packed row-independent predict_all_bits kernels, the Hamming and
-// Sequential-NN predictors are evaluated per row, and the encoder is
-// deterministic by construction. core_serve_test and bench_serve assert the
-// contract.
+// Sequential-NN predictors are evaluated per row (ANN queries keep
+// per-thread scratch), and the encoder is deterministic by construction.
+// core_serve_test and bench_serve assert the contract.
 //
 // Observability: serve.requests / serve.batches counters, a
-// serve.batch_size histogram, a serve.queue_depth gauge, and spans around
-// the classify / drain hot paths.
+// serve.batch_size histogram (requests per sweep), a serve.queue_depth
+// gauge, the serve.latency_seconds sketch (classify() call time; submit()
+// to answer for coalesced requests, queue wait included), and spans
+// serve.classify / serve.drain / serve.slice.
 #pragma once
 
 #include <atomic>
@@ -28,11 +34,13 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/bundle.hpp"
 #include "hv/encoders.hpp"
+#include "util/timer.hpp"
 
 namespace hdc::parallel {
 class ThreadPool;
@@ -44,7 +52,7 @@ struct ServeConfig {
   /// Predictor answering requests: "hamming", "nn", a zoo model name
   /// (e.g. "Logistic Regression"), or empty = first available in that order.
   std::string model;
-  /// Most requests folded into one packed predict per drain sweep.
+  /// Most queued requests one drain sweep takes (and splits over the pool).
   std::size_t max_batch = 64;
   /// Route hamming k-NN requests through the bundle's ANN index (attached
   /// at load, or built here when the bundle carries none). Requires the
@@ -52,7 +60,8 @@ struct ServeConfig {
   bool ann = false;
   /// Probe-width override for the ANN path (0 = the index default).
   std::size_t nprobe = 0;
-  /// Pool running the drain task; nullptr = process-wide pool.
+  /// Pool running the drain task and its slices; nullptr = process-wide
+  /// pool.
   parallel::ThreadPool* pool = nullptr;
 };
 
@@ -75,8 +84,8 @@ class ServeEngine {
   /// shutdown().
   [[nodiscard]] std::future<int> submit(std::vector<double> row);
 
-  /// Stop accepting requests and block until the queue is drained.
-  /// Idempotent; the destructor calls it.
+  /// Stop accepting requests and block until the queue is drained and every
+  /// slice in flight has answered. Idempotent; the destructor calls it.
   void shutdown();
 
   /// Name of the predictor answering requests.
@@ -97,9 +106,11 @@ class ServeEngine {
   struct Request {
     std::vector<double> row;
     std::promise<int> result;
+    util::Timer submitted;  // started in submit()
   };
 
-  /// Per-thread encode scratch, leased from a free list under mutex_.
+  /// Encode scratch: classify() and the drain's own slice lease one from a
+  /// free list under mutex_; the other slices use a transient one.
   struct Scratch {
     hv::RecordEncoder::Scratch encoder;
     std::vector<double> row_buffer;
@@ -111,9 +122,13 @@ class ServeEngine {
   /// Predict one encoded record (already validated).
   [[nodiscard]] int predict_encoded(const hv::BitVector& encoded) const;
 
-  /// Drain-task body: repeatedly swallow up to max_batch queued requests
-  /// and answer them with one packed predict, until the queue is empty.
+  /// Drain-task body: repeatedly take up to max_batch queued requests and
+  /// fan them out as slices over the pool, until the queue is empty.
   void drain();
+
+  /// Encode (through `scratch`), predict and settle the promises of one
+  /// slice; a failure lands in its own request's promise.
+  void answer(std::span<Request> requests, Scratch& scratch);
 
   ModelBundle bundle_;
   ServeConfig config_;
@@ -126,6 +141,7 @@ class ServeEngine {
   std::deque<Request> queue_;
   std::vector<std::unique_ptr<Scratch>> scratch_pool_;
   bool draining_ = false;
+  std::size_t slices_in_flight_ = 0;  // slice tasks submitted, not yet done
   bool accepting_ = true;
   std::atomic<std::uint64_t> served_{0};
 };

@@ -150,34 +150,37 @@ TEST(ServeCategorical, NonIntegerCategoryFailsOnlyItsRequestSync) {
 }
 
 TEST(ServeCategorical, NonIntegerCategoryFailsOnlyItsRequestCoalesced) {
-  for (const char* model : {"hamming", "Logistic Regression"}) {
-    SCOPED_TRACE(model);
-    ServeConfig config;
-    config.model = model;
-    ServeEngine clean(load(), config);
-    std::vector<int> expected;
-    for (std::size_t i = 0; i < 24; ++i) {
-      expected.push_back(clean.classify(patient(i, static_cast<double>(i % 8))));
-    }
+  // max_batch 8: every drain sweep mixes good and bad rows. One worker
+  // answers a sweep whole; four split it into slices of two.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    for (const char* model : {"hamming", "Logistic Regression"}) {
+      SCOPED_TRACE(std::string(model) + " workers=" + std::to_string(workers));
+      ServeConfig config;
+      config.model = model;
+      ServeEngine clean(load(), config);
+      std::vector<int> expected;
+      for (std::size_t i = 0; i < 24; ++i) {
+        expected.push_back(clean.classify(patient(i, static_cast<double>(i % 8))));
+      }
 
-    // One worker and max_batch 8: every drain sweep mixes good and bad rows.
-    hdc::parallel::ThreadPool pool(1);
-    config.pool = &pool;
-    config.max_batch = 8;
-    ServeEngine engine(load(), config);
-    std::vector<std::future<int>> good;
-    std::vector<std::future<int>> bad;
-    for (std::size_t i = 0; i < 24; ++i) {
-      good.push_back(engine.submit(patient(i, static_cast<double>(i % 8))));
-      bad.push_back(engine.submit(
-          patient(i, kNoCategory[i % std::size(kNoCategory)])));
+      hdc::parallel::ThreadPool pool(workers);
+      config.pool = &pool;
+      config.max_batch = 8;
+      ServeEngine engine(load(), config);
+      std::vector<std::future<int>> good;
+      std::vector<std::future<int>> bad;
+      for (std::size_t i = 0; i < 24; ++i) {
+        good.push_back(engine.submit(patient(i, static_cast<double>(i % 8))));
+        bad.push_back(engine.submit(
+            patient(i, kNoCategory[i % std::size(kNoCategory)])));
+      }
+      for (std::size_t i = 0; i < 24; ++i) {
+        EXPECT_EQ(good[i].get(), expected[i]) << i;
+        EXPECT_THROW((void)bad[i].get(), std::invalid_argument) << i;
+      }
+      engine.shutdown();
+      EXPECT_EQ(engine.requests_served(), 24u);
     }
-    for (std::size_t i = 0; i < 24; ++i) {
-      EXPECT_EQ(good[i].get(), expected[i]) << i;
-      EXPECT_THROW((void)bad[i].get(), std::invalid_argument) << i;
-    }
-    engine.shutdown();
-    EXPECT_EQ(engine.requests_served(), 24u);
   }
 }
 
